@@ -225,4 +225,29 @@ if ! awk -v w="$WARM_HITS" -v c="$COLD_HITS" 'BEGIN { exit !(w > c) }'; then
 fi
 echo "    warm pass hit rate $WARM_HITS% > cold $COLD_HITS%; store at $SERVE_STORE"
 
+echo "==> serve hostile-input smoke (deep nesting, invalid UTF-8, then a valid request)"
+# A line of 200,000 '[' (past the JSON nesting limit) and a line of
+# invalid UTF-8 must each get an error response without ending the
+# session: the valid curve request after them is still answered, and
+# serve exits cleanly at end of input.
+HOSTILE_OUT=target/serve-hostile.out
+if ! {
+  head -c 200000 /dev/zero | tr '\0' '['
+  printf '\n\377\376\n'
+  printf '%s\n' '{"id": 3, "kind": "curve", "kernel": "crc32"}'
+} | cargo run --offline --release -p rtise-serve --bin serve -- --stdin > "$HOSTILE_OUT"; then
+  echo "FAIL: serve --stdin exited nonzero on hostile input"
+  exit 1
+fi
+RESPONSES=$(wc -l < "$HOSTILE_OUT")
+if [ "$RESPONSES" -ne 3 ]; then
+  echo "FAIL: expected 3 responses to 3 hostile-input lines, got $RESPONSES"
+  exit 1
+fi
+if ! tail -n 1 "$HOSTILE_OUT" | grep -q '"ok": *true'; then
+  echo "FAIL: the valid request after the hostile lines was not answered ok"
+  exit 1
+fi
+echo "    hostile lines answered with errors; the session survived"
+
 echo "CI OK"

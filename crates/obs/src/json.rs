@@ -220,11 +220,17 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. Deeper documents are
+/// rejected instead of recursed into, so hostile input cannot overflow the
+/// stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document.
 ///
 /// Accepts exactly one top-level value with optional surrounding
-/// whitespace. `\uXXXX` escapes outside the BMP surrogate range are
-/// decoded; surrogate pairs are rejected (reports never emit them).
+/// whitespace, nested at most [`MAX_DEPTH`] arrays/objects deep.
+/// `\uXXXX` escapes outside the BMP surrogate range are decoded;
+/// surrogate pairs are rejected (reports never emit them).
 ///
 /// # Errors
 ///
@@ -233,6 +239,7 @@ pub fn parse(src: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -246,6 +253,8 @@ pub fn parse(src: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -278,8 +287,19 @@ impl Parser<'_> {
             Some(b't') => self.eat("true").map(|()| Value::Bool(true)),
             Some(b'f') => self.eat("false").map(|()| Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
@@ -470,6 +490,18 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"\\x\""] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!((err.at, err.msg), (MAX_DEPTH, "nesting too deep"));
+        let objs = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert_eq!(parse(&objs).map_err(|e| e.msg), Err("nesting too deep"));
+        // Far deeper than any stack could recurse: still a clean error.
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -17,8 +17,16 @@ use crate::spatial::spatial_select;
 use rtise_graphpart::{partition as kway, Graph};
 
 /// Algorithm 6. Returns the best solution found across configuration
-/// counts `1..=loops.len()` together with the chosen number of
-/// configurations.
+/// counts `1..=loops.len()`.
+///
+/// Running time follows the configuration count of the best solution, not
+/// the loop count: the `k` sweep stops 10 counts after the last
+/// improvement (or once every loop holds its best version), and each `k`
+/// costs six k-way partitionings. On `tab6_1`'s 80-loop instance the best
+/// solution uses ~55 configurations, so the sweep runs to `k` = 69 (~0.7 s);
+/// on its 100-loop instance the best uses 2 and the sweep stops at `k` = 12
+/// (~0.07 s). The `n·k ≤ 256` polish gate plays no part in that: at 80
+/// loops it admits only `k` ≤ 3.
 pub fn iterative_partition(problem: &ReconfigProblem, seed: u64) -> Solution {
     let n = problem.loops.len();
     let mut best = Solution::software(n);
@@ -26,10 +34,16 @@ pub fn iterative_partition(problem: &ReconfigProblem, seed: u64) -> Solution {
     let max_gain: u64 = problem.loops.iter().map(|l| l.best().gain).sum();
     let mut stagnant = 0usize;
 
+    let refs: Vec<&HotLoop> = problem.loops.iter().collect();
+    let all_hw: Vec<usize> = problem
+        .loops
+        .iter()
+        .map(|l| if l.versions().len() > 1 { 1 } else { 0 })
+        .collect();
+
     for k in 1..=n.max(1) {
         // Phase 1: global spatial partitioning over a virtual k·MaxA
         // fabric.
-        let refs: Vec<&HotLoop> = problem.loops.iter().collect();
         let budget = problem.max_area.saturating_mul(k as u64);
         let (global_versions, global_gain, _) = spatial_select(&refs, budget);
 
@@ -37,11 +51,6 @@ pub fn iterative_partition(problem: &ReconfigProblem, seed: u64) -> Solution {
         // weight = selected version area) and the CIS-agnostic variant
         // (unit weights); a few seeds each since the k-way partitioner is
         // randomized.
-        let all_hw: Vec<usize> = problem
-            .loops
-            .iter()
-            .map(|l| if l.versions().len() > 1 { 1 } else { 0 })
-            .collect();
         let mut assignments = Vec::new();
         for round in 0..3u64 {
             let s = seed.wrapping_add(round.wrapping_mul(0x9e37_79b9_7f4a_7c15));
@@ -155,38 +164,124 @@ fn temporal_with_weights(
 /// configuration — accepting any net-gain improvement, to a bounded
 /// fixpoint. This plays the role of the uncoarsening refinement the paper
 /// applies at each level.
+///
+/// `sol` must fit. Per-configuration areas are tracked incrementally, so a
+/// move fits iff its target configuration, with the loop's current version
+/// taken out, still has room for the new one. One trace walk per loop
+/// ([`Placement`]) prices every move of that loop, so each candidate costs
+/// O(1) and no candidate solution is built.
 fn polish(problem: &ReconfigProblem, sol: &mut Solution, k: usize) {
+    debug_assert!(sol.fits(problem));
     let n = problem.loops.len();
+    let area_of = |sol: &Solution, i: usize| problem.loops[i].versions()[sol.version[i]].area;
+    let mut area = vec![0u64; k.max(sol.config.iter().max().map_or(0, |&c| c + 1))];
+    for i in 0..n {
+        area[sol.config[i]] += area_of(sol, i);
+    }
+    let mut placement = Placement {
+        in_software: 0,
+        touching: 0,
+        fixed: 0,
+        neighbours: vec![0; area.len()],
+    };
     for _pass in 0..4 {
         let mut improved = false;
         for i in 0..n {
             let base = sol.net_gain(problem);
+            let (v0, c0) = (sol.version[i], sol.config[i]);
+            let a0 = area_of(sol, i);
+            let versions = problem.loops[i].versions();
+            let raw_rest = sol.raw_gain(problem) - versions[v0].gain;
+            placement.load(problem, sol, i);
             let mut best: Option<(i64, usize, usize)> = None;
-            for cfg in 0..k {
-                for j in 0..problem.loops[i].versions().len() {
-                    if j == sol.version[i] && cfg == sol.config[i] {
+            for (cfg, &cfg_area) in area.iter().enumerate().take(k) {
+                let used = cfg_area - if cfg == c0 { a0 } else { 0 };
+                let room = problem.max_area.saturating_sub(used);
+                for (j, v) in versions.iter().enumerate() {
+                    if v.area > room {
+                        break; // versions ascend in area
+                    }
+                    if j == v0 && cfg == c0 {
                         continue;
                     }
-                    let mut cand = sol.clone();
-                    cand.version[i] = j;
-                    cand.config[i] = cfg;
-                    if !cand.fits(problem) {
-                        continue;
-                    }
-                    let delta = cand.net_gain(problem) - base;
+                    let reconfigs = placement.reconfigurations(j, cfg);
+                    let net =
+                        (raw_rest + v.gain) as i64 - (reconfigs * problem.reconfig_cost) as i64;
+                    let delta = net - base;
                     if delta > 0 && best.is_none_or(|(b, _, _)| delta > b) {
                         best = Some((delta, j, cfg));
                     }
                 }
             }
             if let Some((_, j, cfg)) = best {
+                area[c0] -= a0;
                 sol.version[i] = j;
                 sol.config[i] = cfg;
+                area[cfg] += area_of(sol, i);
                 improved = true;
             }
         }
         if !improved {
             break;
+        }
+    }
+}
+
+/// A solution's reconfiguration count as a function of where one loop `i`
+/// goes, every other loop staying put. Walking the trace with software
+/// loops dropped, a reconfiguration is an adjacent pair of loops in
+/// different configurations; the pairs not touching `i` are `fixed`, and
+/// each pair touching `i` counts unless `i` shares its neighbour's
+/// configuration.
+struct Placement {
+    /// The count with `i` in software (dropped from the trace).
+    in_software: u64,
+    /// Adjacent pairs of `i` with another hardware loop.
+    touching: u64,
+    /// Reconfigurations between pairs of hardware loops other than `i`.
+    fixed: u64,
+    /// How many of the `touching` pairs have their other end in each
+    /// configuration.
+    neighbours: Vec<u64>,
+}
+
+impl Placement {
+    fn load(&mut self, problem: &ReconfigProblem, sol: &Solution, i: usize) {
+        self.in_software = 0;
+        self.touching = 0;
+        self.fixed = 0;
+        self.neighbours.fill(0);
+        let mut prev: Option<usize> = None; // `i` in hardware
+        let mut prev_sw: Option<usize> = None; // `i` in software
+        for &l in &problem.trace {
+            if l != i {
+                if sol.version[l] == 0 {
+                    continue;
+                }
+                if prev_sw.is_some_and(|p| sol.config[p] != sol.config[l]) {
+                    self.in_software += 1;
+                }
+                prev_sw = Some(l);
+            }
+            match prev {
+                Some(p) if p == l => {}
+                Some(p) if p == i || l == i => {
+                    self.touching += 1;
+                    self.neighbours[sol.config[if p == i { l } else { p }]] += 1;
+                }
+                Some(p) if sol.config[p] != sol.config[l] => self.fixed += 1,
+                _ => {}
+            }
+            prev = Some(l);
+        }
+    }
+
+    /// The count with `i` at version `version` in configuration `cfg`.
+    fn reconfigurations(&self, version: usize, cfg: usize) -> u64 {
+        if version == 0 {
+            self.in_software
+        } else {
+            self.fixed + self.touching - self.neighbours[cfg]
         }
     }
 }
@@ -219,6 +314,16 @@ fn local_spatial(problem: &ReconfigProblem, assignment: &[Option<usize>], k: usi
 /// count is fixed, so maximizing raw gain per cell is net-gain-optimal —
 /// this makes the search a true optimum, at Bell(n+1) total work.
 ///
+/// A cell's DP answer depends only on its member set, so it is solved once
+/// per member bitmask (`CellMemo`, at most 2^n cells) and a partition's
+/// raw gain is the sum of its cells' memoized gains. Its reconfiguration
+/// count is likewise a sum over cells (`Transitions`), so no partition
+/// walks the trace. Net gain never exceeds raw gain, so partitions whose
+/// raw gain cannot beat the incumbent are not costed further. Partitions
+/// are visited in restricted-growth-string order and the incumbent only
+/// moves on a strict improvement, so ties resolve to the first optimum in
+/// that order.
+///
 /// # Panics
 ///
 /// Panics if there are more than 12 loops — beyond that the Bell number
@@ -232,41 +337,42 @@ pub fn exhaustive_partition(problem: &ReconfigProblem) -> Solution {
     if n == 0 {
         return best;
     }
-    for sw_mask in 0u32..(1 << n) {
-        let hw: Vec<usize> = (0..n).filter(|&i| sw_mask >> i & 1 == 0).collect();
-        if hw.is_empty() {
+    let memo = CellMemo::new(problem);
+    let mut transitions = Transitions::new(n);
+    let mut hw: Vec<usize> = Vec::with_capacity(n);
+    // The restricted growth string over `hw`, and `top[i]` = the largest
+    // cell id among its first `i` entries (so `top[m] + 1` cells in all).
+    let mut rgs: Vec<usize> = Vec::with_capacity(n);
+    let mut top: Vec<usize> = Vec::with_capacity(n + 1);
+    // Member bitmask per cell id, reused across partitions.
+    let mut cells = vec![0usize; n];
+    for sw_mask in 0usize..(1 << n) {
+        let hw_mask = !sw_mask & ((1 << n) - 1);
+        if hw_mask == 0 {
             continue; // all-software already seeded
         }
+        hw.clear();
+        hw.extend((0..n).filter(|&i| hw_mask >> i & 1 == 1));
+        transitions.load(&problem.trace, hw_mask);
         // Enumerate set partitions of `hw` via restricted growth strings.
         let m = hw.len();
-        let mut rgs = vec![0usize; m];
+        rgs.clear();
+        rgs.resize(m, 0);
+        top.clear();
+        top.resize(m + 1, 0);
         'partitions: loop {
-            let k = rgs.iter().copied().max().unwrap_or(0) + 1;
-            let mut version = vec![0usize; n];
-            let mut config = vec![0usize; n];
-            let mut feasible = true;
-            for cell in 0..k {
-                let members: Vec<usize> = (0..m).filter(|&p| rgs[p] == cell).collect();
-                let refs: Vec<&HotLoop> = members.iter().map(|&p| &problem.loops[hw[p]]).collect();
-                match crate::spatial::spatial_select_hw(&refs, problem.max_area) {
-                    Some((vs, _, _)) => {
-                        for (pos, &p) in members.iter().enumerate() {
-                            version[hw[p]] = vs[pos];
-                            config[hw[p]] = cell;
-                        }
-                    }
-                    None => {
-                        feasible = false;
-                        break;
-                    }
-                }
+            let k = top[m] + 1;
+            cells[..k].fill(0);
+            for (&l, &cell) in hw.iter().zip(&rgs) {
+                cells[cell] |= 1 << l;
             }
-            if feasible {
-                let sol = Solution { version, config };
-                let net = sol.net_gain(problem);
+            let raw: Option<u64> = cells[..k].iter().map(|&c| memo.gain[c]).sum();
+            if let Some(raw) = raw.filter(|&raw| raw as i64 > best_net) {
+                let reconfigs = transitions.crossing(&cells[..k]);
+                let net = raw as i64 - (reconfigs * problem.reconfig_cost) as i64;
                 if net > best_net {
                     best_net = net;
-                    best = sol;
+                    best = memo.solution(&cells[..k]);
                 }
             }
             // Next restricted growth string.
@@ -276,12 +382,11 @@ pub fn exhaustive_partition(problem: &ReconfigProblem) -> Solution {
                     break 'partitions;
                 }
                 i -= 1;
-                let max_prefix = rgs[..i].iter().copied().max().unwrap_or(0);
-                if rgs[i] <= max_prefix {
+                if rgs[i] <= top[i] {
                     rgs[i] += 1;
-                    for v in rgs[i + 1..].iter_mut() {
-                        *v = 0;
-                    }
+                    rgs[i + 1..].fill(0);
+                    let t = top[i].max(rgs[i]);
+                    top[i + 1..].fill(t);
                     break;
                 }
                 rgs[i] = 0;
@@ -289,6 +394,117 @@ pub fn exhaustive_partition(problem: &ReconfigProblem) -> Solution {
         }
     }
     best
+}
+
+/// Reconfiguration counting for one software set, in closed form. With
+/// software loops dropped from the trace, a reconfiguration is an adjacent
+/// pair of distinct loops in different cells (a repeated loop never
+/// switches), so a partition's count is the `total` number of distinct
+/// adjacent pairs minus those inside a cell — and the pairs inside each
+/// member set are tabulated once per software set.
+struct Transitions {
+    n: usize,
+    /// Adjacent-pair counts between distinct hardware loops, `n × n`.
+    adj: Vec<u64>,
+    total: u64,
+    /// Adjacent pairs with both ends in member set `s`, for every `s`
+    /// inside the current hardware set.
+    within: Vec<u64>,
+}
+
+impl Transitions {
+    fn new(n: usize) -> Self {
+        Transitions {
+            n,
+            adj: vec![0; n * n],
+            total: 0,
+            within: vec![0; 1 << n],
+        }
+    }
+
+    /// Tabulates the trace with every loop outside `hw_mask` in software.
+    fn load(&mut self, trace: &[usize], hw_mask: usize) {
+        let n = self.n;
+        self.adj.fill(0);
+        self.total = 0;
+        let mut prev: Option<usize> = None;
+        for &l in trace.iter().filter(|&&l| hw_mask >> l & 1 == 1) {
+            if let Some(p) = prev.filter(|&p| p != l) {
+                self.adj[p * n + l] += 1;
+                self.adj[l * n + p] += 1;
+                self.total += 1;
+            }
+            prev = Some(l);
+        }
+        // Submasks of `hw_mask` in increasing order, so `s` minus its
+        // lowest loop is always filled before `s`.
+        let mut s = 0usize;
+        loop {
+            s = (s | !hw_mask).wrapping_add(1) & hw_mask;
+            if s == 0 {
+                break;
+            }
+            let low = s.trailing_zeros() as usize;
+            let rest = s & (s - 1);
+            let mut w = self.within[rest];
+            let mut r = rest;
+            while r != 0 {
+                w += self.adj[low * n + r.trailing_zeros() as usize];
+                r &= r - 1;
+            }
+            self.within[s] = w;
+        }
+    }
+
+    /// Reconfigurations of the partition into `cells` (member bitmasks
+    /// covering the loaded hardware set).
+    fn crossing(&self, cells: &[usize]) -> u64 {
+        self.total - cells.iter().map(|&c| self.within[c]).sum::<u64>()
+    }
+}
+
+/// [`crate::spatial::spatial_select_hw`]'s answer for every configuration
+/// cell, indexed by the bitmask of its member loops: the cell's raw gain
+/// (`None` when its loops cannot all fit in hardware) and, row-major with
+/// `n` entries per mask, each member's selected version.
+struct CellMemo {
+    n: usize,
+    gain: Vec<Option<u64>>,
+    version: Vec<usize>,
+}
+
+impl CellMemo {
+    fn new(problem: &ReconfigProblem) -> Self {
+        let n = problem.loops.len();
+        let mut gain = vec![Some(0); 1 << n];
+        let mut version = vec![0usize; n << n];
+        let mut refs: Vec<&HotLoop> = Vec::with_capacity(n);
+        for (mask, g) in gain.iter_mut().enumerate().skip(1) {
+            let members = (0..n).filter(|&i| mask >> i & 1 == 1);
+            refs.clear();
+            refs.extend(members.clone().map(|i| &problem.loops[i]));
+            *g = crate::spatial::spatial_select_hw(&refs, problem.max_area).map(|(vs, gain, _)| {
+                for (i, v) in members.zip(vs) {
+                    version[mask * n + i] = v;
+                }
+                gain
+            });
+        }
+        CellMemo { n, gain, version }
+    }
+
+    /// The solution placing each cell's members (by bitmask) in the
+    /// configuration numbered by the cell's position.
+    fn solution(&self, cells: &[usize]) -> Solution {
+        let mut sol = Solution::software(self.n);
+        for (cell, &mask) in cells.iter().enumerate() {
+            for i in (0..self.n).filter(|&i| mask >> i & 1 == 1) {
+                sol.version[i] = self.version[mask * self.n + i];
+                sol.config[i] = cell;
+            }
+        }
+        sol
+    }
 }
 
 /// Algorithm 8: greedy construction, one configuration at a time.

@@ -367,27 +367,37 @@ fn serve_one(inner: &Inner, key: &str, req: &Request) -> Value {
 /// response line per request to `writer` in request order. Used by both
 /// `serve --stdin` and each TCP connection.
 ///
+/// A line that is not valid UTF-8 gets an id-0 error response and the
+/// session goes on with the next line.
+///
 /// # Errors
 ///
 /// Propagates I/O errors from the reader or writer.
 pub fn serve_lines(
     server: &Server,
-    reader: impl BufRead,
+    mut reader: impl BufRead,
     mut writer: impl Write,
 ) -> std::io::Result<()> {
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        if reader.read_until(b'\n', &mut buf)? == 0 {
+            return Ok(());
         }
-        let response = match crate::proto::parse(&line) {
-            Ok(req) => server.submit(&req).wait(),
-            Err(msg) => engine::error_response(line_request_id(&line), &msg),
+        let response = match std::str::from_utf8(&buf) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => {
+                let line = line.trim_end_matches(['\n', '\r']);
+                match crate::proto::parse(line) {
+                    Ok(req) => server.submit(&req).wait(),
+                    Err(msg) => engine::error_response(line_request_id(line), &msg),
+                }
+            }
+            Err(e) => engine::error_response(0, &format!("request line is not valid UTF-8: {e}")),
         };
         writeln!(writer, "{}", response.render())?;
         writer.flush()?;
     }
-    Ok(())
 }
 
 /// Best-effort id extraction from a malformed request line, so the error

@@ -1,5 +1,6 @@
 //! End-to-end service tests: report determinism across worker counts,
-//! in-flight dedup, corrupt-store recovery, and graceful shutdown.
+//! in-flight dedup, corrupt-store recovery, graceful shutdown, and hostile
+//! request lines.
 
 use rtise_obs::json::Value;
 use rtise_serve::engine::ResponseArtifact;
@@ -245,4 +246,65 @@ fn warm_rerun_has_strictly_higher_hit_rate() {
         cold.hit_rate_pct
     );
     assert_eq!(warm.hit_rate_pct, 100.0, "every request warm-served");
+}
+
+/// Runs `input` through `serve_lines` on a one-worker server and returns
+/// the parsed response lines.
+fn serve_bytes(input: &[u8]) -> Vec<Value> {
+    let server = Server::start_new(ServerConfig::new(1));
+    let mut out = Vec::new();
+    rtise_serve::serve_lines(&server, input, &mut out).expect("session ends cleanly");
+    server.shutdown();
+    String::from_utf8(out)
+        .expect("responses are UTF-8")
+        .lines()
+        .map(|l| rtise_obs::json::parse(l).expect("response parses"))
+        .collect()
+}
+
+/// A request nested far deeper than the JSON depth limit gets one error
+/// response instead of overflowing the stack, and the session goes on.
+#[test]
+fn deeply_nested_line_gets_an_error_response() {
+    let mut input = "[".repeat(200_000).into_bytes();
+    input.extend_from_slice(b"\n{\"id\": 2, \"kind\": \"ilp\", \"seed\": 1}\n");
+    let responses = serve_bytes(&input);
+    assert_eq!(responses.len(), 2);
+    assert_eq!(responses[0].get("ok"), Some(&Value::Bool(false)));
+    let error = responses[0]
+        .get("error")
+        .and_then(Value::as_str)
+        .unwrap_or("");
+    assert!(
+        error.contains("nesting too deep"),
+        "unexpected error: {error}"
+    );
+    assert_eq!(responses[1].get("ok"), Some(&Value::Bool(true)));
+    for resp in &responses {
+        assert!(rtise::check::serve::check_response(resp).is_clean());
+    }
+}
+
+/// A line of invalid UTF-8 gets an id-0 error response; the valid request
+/// after it is still answered.
+#[test]
+fn invalid_utf8_line_does_not_end_the_session() {
+    let responses =
+        serve_bytes(b"{\"id\": 1, \xff\xfe}\r\n{\"id\": 2, \"kind\": \"ilp\", \"seed\": 1}\n");
+    assert_eq!(responses.len(), 2);
+    assert_eq!(responses[0].get("ok"), Some(&Value::Bool(false)));
+    assert_eq!(responses[0].get("id").and_then(Value::as_f64), Some(0.0));
+    let error = responses[0]
+        .get("error")
+        .and_then(Value::as_str)
+        .unwrap_or("");
+    assert!(
+        error.contains("not valid UTF-8"),
+        "unexpected error: {error}"
+    );
+    assert_eq!(responses[1].get("ok"), Some(&Value::Bool(true)));
+    assert_eq!(responses[1].get("id").and_then(Value::as_f64), Some(2.0));
+    for resp in &responses {
+        assert!(rtise::check::serve::check_response(resp).is_clean());
+    }
 }
