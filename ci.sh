@@ -225,23 +225,26 @@ if ! awk -v w="$WARM_HITS" -v c="$COLD_HITS" 'BEGIN { exit !(w > c) }'; then
 fi
 echo "    warm pass hit rate $WARM_HITS% > cold $COLD_HITS%; store at $SERVE_STORE"
 
-echo "==> serve hostile-input smoke (deep nesting, invalid UTF-8, then a valid request)"
-# A line of 200,000 '[' (past the JSON nesting limit) and a line of
-# invalid UTF-8 must each get an error response without ending the
-# session: the valid curve request after them is still answered, and
-# serve exits cleanly at end of input.
+echo "==> serve hostile-input smoke (deep nesting, invalid UTF-8, a 2 MiB line, then a valid request)"
+# A line of 200,000 '[' (past the JSON nesting limit), a line of
+# invalid UTF-8 and a 2 MiB line (past the 1 MiB line-length limit) must
+# each get an error response without ending the session: the valid curve
+# request after them is still answered, and serve exits cleanly at end
+# of input.
 HOSTILE_OUT=target/serve-hostile.out
 if ! {
   head -c 200000 /dev/zero | tr '\0' '['
   printf '\n\377\376\n'
-  printf '%s\n' '{"id": 3, "kind": "curve", "kernel": "crc32"}'
+  head -c 2097152 /dev/zero | tr '\0' ' '
+  printf '\n'
+  printf '%s\n' '{"id": 4, "kind": "curve", "kernel": "crc32"}'
 } | cargo run --offline --release -p rtise-serve --bin serve -- --stdin > "$HOSTILE_OUT"; then
   echo "FAIL: serve --stdin exited nonzero on hostile input"
   exit 1
 fi
 RESPONSES=$(wc -l < "$HOSTILE_OUT")
-if [ "$RESPONSES" -ne 3 ]; then
-  echo "FAIL: expected 3 responses to 3 hostile-input lines, got $RESPONSES"
+if [ "$RESPONSES" -ne 4 ]; then
+  echo "FAIL: expected 4 responses to 4 hostile-input lines, got $RESPONSES"
   exit 1
 fi
 if ! tail -n 1 "$HOSTILE_OUT" | grep -q '"ok": *true'; then

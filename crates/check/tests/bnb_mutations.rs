@@ -6,15 +6,35 @@
 
 use rtise_check::bnb::{check_ilp_certificate, check_ise_certificate, check_rms_certificate};
 use rtise_check::Code;
-use rtise_ilp::{IlpCertEvent, Model, Sense};
+use rtise_ilp::{IlpCertEvent, IlpCertificate, Model, Sense, Solution, SolveError, SolveOpts};
 use rtise_ir::cfg::BlockId;
 use rtise_ir::nodeset::NodeSet;
 use rtise_ise::configs::ConfigCurve;
-use rtise_ise::select::{branch_and_bound_with_cert, branch_and_bound_with_cert_capped};
-use rtise_ise::{CiCandidate, IseCertEvent};
+use rtise_ise::select::branch_and_bound_with;
+use rtise_ise::{CiCandidate, IseCertEvent, IseCertificate, Selection};
 use rtise_obs::Rng;
-use rtise_select::rms::{select_rms_with_cert, RmsCertEvent};
+use rtise_select::rms::{
+    select_rms_with, RmsCertEvent, RmsCertificate, RmsSelection, SelectRmsError,
+};
 use rtise_select::TaskSpec;
+
+fn solve_with_cert(m: &Model) -> (Result<Solution, SolveError>, IlpCertificate) {
+    let (res, _, cert) = m.solve_with(SolveOpts::default(), true);
+    (res, cert.expect("certificate requested"))
+}
+
+fn branch_and_bound_with_cert(cands: &[CiCandidate], budget: u64) -> (Selection, IseCertificate) {
+    let (sel, _, cert) = branch_and_bound_with(cands, budget, SolveOpts::default(), true);
+    (sel, cert.expect("certificate requested"))
+}
+
+fn select_rms_with_cert(
+    specs: &[TaskSpec],
+    budget: u64,
+) -> (Result<RmsSelection, SelectRmsError>, RmsCertificate) {
+    let (res, _, cert) = select_rms_with(specs, budget, SolveOpts::default(), true);
+    (res, cert.expect("certificate requested"))
+}
 
 /// A feasible knapsack whose root node always branches: distinct positive
 /// gains (so the variable order is unambiguous), non-negative weights and
@@ -87,7 +107,7 @@ fn rms_instance(rng: &mut Rng) -> (Vec<TaskSpec>, u64) {
 fn dropped_node_is_caught() {
     let mut rng = Rng::new(0xC0DE_1001);
     let m = knapsack(&mut rng);
-    let (res, mut cert) = m.solve_with_cert();
+    let (res, mut cert) = solve_with_cert(&m);
     let sol = res.expect("feasible");
     assert!(check_ilp_certificate(&m, Some(&sol), &cert).is_clean());
     cert.events.pop().expect("non-empty log");
@@ -101,7 +121,7 @@ fn dropped_node_is_caught() {
 fn forged_variable_order_is_caught() {
     let mut rng = Rng::new(0xC0DE_1002);
     let m = knapsack(&mut rng);
-    let (res, mut cert) = m.solve_with_cert();
+    let (res, mut cert) = solve_with_cert(&m);
     let sol = res.expect("feasible");
     assert!(check_ilp_certificate(&m, Some(&sol), &cert).is_clean());
     cert.order.swap(0, 1);
@@ -115,7 +135,7 @@ fn forged_variable_order_is_caught() {
 fn inflated_bound_prune_is_caught() {
     let mut rng = Rng::new(0xC0DE_1003);
     let m = knapsack(&mut rng);
-    let (res, mut cert) = m.solve_with_cert();
+    let (res, mut cert) = solve_with_cert(&m);
     let sol = res.expect("feasible");
     assert!(matches!(cert.events[0], IlpCertEvent::Branch { .. }));
     cert.events[0] = IlpCertEvent::PruneBound;
@@ -129,7 +149,7 @@ fn inflated_bound_prune_is_caught() {
 fn forged_infeasibility_witness_is_caught() {
     let mut rng = Rng::new(0xC0DE_1004);
     let m = knapsack(&mut rng);
-    let (res, mut cert) = m.solve_with_cert();
+    let (res, mut cert) = solve_with_cert(&m);
     let sol = res.expect("feasible");
     cert.events[0] = IlpCertEvent::PruneInfeasible { row: 0 };
     let d = check_ilp_certificate(&m, Some(&sol), &cert);
@@ -162,7 +182,7 @@ fn infeasible_recursion_is_caught() {
     let mut rng = Rng::new(0xC0DE_1006);
     let (specs, budget) = rms_instance(&mut rng);
     let (res, mut cert) = select_rms_with_cert(&specs, budget);
-    let (sel, _) = res.expect("software configurations are schedulable");
+    let sel = res.expect("software configurations are schedulable");
     assert!(check_rms_certificate(&specs, budget, Some(&sel), &cert).is_clean());
     let pos = cert
         .events
@@ -181,21 +201,28 @@ fn stale_incumbent_is_caught() {
     let mut rng = Rng::new(0xC0DE_1007);
     let (specs, budget) = rms_instance(&mut rng);
     let (res, cert) = select_rms_with_cert(&specs, budget);
-    let (mut sel, _) = res.expect("software configurations are schedulable");
+    let mut sel = res.expect("software configurations are schedulable");
     assert!(check_rms_certificate(&specs, budget, Some(&sel), &cert).is_clean());
     sel.utilization += 0.25;
     let d = check_rms_certificate(&specs, budget, Some(&sel), &cert);
     assert!(d.has(Code::CERTB005), "expected CERTB005, got: {d}");
 }
 
-/// Class 8 (`CERTB006`): cap the log below the tree size — the honest
-/// verdict is "truncated, optimality NOT proven", never a clean pass.
+/// Class 8 (`CERTB006`): keep only the first 2 events and count the
+/// rest as dropped, the way a log that hit its recording cap comes back —
+/// the honest verdict is "truncated, optimality NOT proven", never a
+/// clean pass.
 #[test]
 fn truncated_certificate_is_incomplete_not_clean() {
     let mut rng = Rng::new(0xC0DE_1008);
     let (cands, budget) = ise_library(&mut rng);
-    let (sel, cert) = branch_and_bound_with_cert_capped(&cands, budget, 2);
-    assert!(cert.dropped > 0, "a 2-event cap must truncate this search");
+    let (sel, mut cert) = branch_and_bound_with_cert(&cands, budget);
+    assert!(
+        cert.events.len() > 2,
+        "the search must outgrow a 2-event log"
+    );
+    cert.dropped = (cert.events.len() - 2) as u64;
+    cert.events.truncate(2);
     let d = check_ise_certificate(&cands, budget, &sel, &cert);
     assert!(d.has(Code::CERTB006), "expected CERTB006, got: {d}");
     assert!(!d.is_clean());

@@ -26,8 +26,11 @@
 //!
 //! The process-wide [`set_threads`]/[`threads`] knob (0 = serial paths
 //! untouched) is how binaries opt whole runs into the decomposed
-//! searches; library callers that need explicit control use the solvers'
-//! `*_par_*` entry points instead and leave the global alone.
+//! searches; library callers that need explicit control pass the
+//! branch-and-bound solvers a `SolveOpts` (`rtise_trace::bnb`) instead
+//! and leave the global alone. That driver is the one caller of
+//! [`run_ordered`]'s incumbent window; [`map_ordered`] serves callers
+//! that only need the ordered fan-out.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -228,6 +231,18 @@ where
         .into_iter()
         .map(|s| s.into_inner().expect("every slot published"))
         .collect()
+}
+
+/// [`run_ordered`] for work items that need no earlier results: `f` runs
+/// over every item on `threads` workers and the results come back in
+/// item order.
+pub fn map_ordered<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send + Sync,
+    F: Fn(&T) -> R + Sync,
+{
+    run_ordered(items, threads, |_, item, _: Completed<'_, R>| f(item))
 }
 
 #[cfg(test)]

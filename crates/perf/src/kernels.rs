@@ -16,6 +16,7 @@ use rtise_ir::{Dfg, HwModel};
 use rtise_ise::{CiCandidate, ConfigCurve, EnumerateOptions, HarvestOptions};
 use rtise_obs::Rng;
 use rtise_select::TaskSpec;
+use rtise_trace::bnb::SolveOpts;
 
 use crate::measure::{median_ns, sample_ns, MeasureOptions};
 
@@ -367,9 +368,11 @@ pub fn run_size(kernel: &str, size: usize, seed: u64, m: &MeasureOptions) -> Siz
                 },
                 &mut || {
                     for (s, b) in &inputs {
-                        let _ = black_box(rtise_select::rms::select_rms_with_stats(
+                        let _ = black_box(rtise_select::rms::select_rms_with(
                             black_box(s),
                             black_box(*b),
+                            SolveOpts::default(),
+                            false,
                         ));
                     }
                 },
@@ -388,18 +391,21 @@ pub fn run_size(kernel: &str, size: usize, seed: u64, m: &MeasureOptions) -> Siz
                 size,
                 &mut || {
                     for (s, b) in &inputs {
-                        let _ = black_box(rtise_select::rms::select_rms_with_stats(
+                        let _ = black_box(rtise_select::rms::select_rms_with(
                             black_box(s),
                             black_box(*b),
+                            SolveOpts::default(),
+                            false,
                         ));
                     }
                 },
                 &mut || {
                     for (s, b) in &inputs {
-                        let _ = black_box(rtise_select::rms::select_rms_par_with_stats(
+                        let _ = black_box(rtise_select::rms::select_rms_with(
                             black_box(s),
                             black_box(*b),
-                            PAR_BENCH_THREADS,
+                            SolveOpts::par(PAR_BENCH_THREADS),
+                            false,
                         ));
                     }
                 },
@@ -419,7 +425,7 @@ pub fn run_size(kernel: &str, size: usize, seed: u64, m: &MeasureOptions) -> Siz
                 },
                 &mut || {
                     for model in &models {
-                        let _ = black_box(black_box(model).solve_with_stats());
+                        let _ = black_box(black_box(model).solve_with(SolveOpts::default(), false));
                     }
                 },
                 m,
@@ -433,12 +439,14 @@ pub fn run_size(kernel: &str, size: usize, seed: u64, m: &MeasureOptions) -> Siz
                 size,
                 &mut || {
                     for model in &models {
-                        let _ = black_box(black_box(model).solve_with_stats());
+                        let _ = black_box(black_box(model).solve_with(SolveOpts::default(), false));
                     }
                 },
                 &mut || {
                     for model in &models {
-                        let _ = black_box(black_box(model).solve_par_with_stats(PAR_BENCH_THREADS));
+                        let _ = black_box(
+                            black_box(model).solve_with(SolveOpts::par(PAR_BENCH_THREADS), false),
+                        );
                     }
                 },
                 m,
@@ -525,10 +533,11 @@ pub fn run_size(kernel: &str, size: usize, seed: u64, m: &MeasureOptions) -> Siz
                 },
                 &mut || {
                     for (cands, budget) in &pools {
-                        let _ = black_box(rtise_ise::select::branch_and_bound_par(
+                        let _ = black_box(rtise_ise::select::branch_and_bound_with(
                             black_box(cands),
                             black_box(*budget),
-                            PAR_BENCH_THREADS,
+                            SolveOpts::par(PAR_BENCH_THREADS),
+                            false,
                         ));
                     }
                 },

@@ -272,15 +272,11 @@ fn solve_sparse(
             // serial candidate list, so the sort below — and everything
             // after it — is untouched by the thread count.
             let chunks: Vec<&[(u64, u128)]> = prev.chunks(PAR_CHUNK).collect();
-            let parts = rtise_obs::par::run_ordered(
-                &chunks,
-                threads,
-                |_, chunk, _: rtise_obs::par::Completed<'_, (Vec<(u64, u128)>, u64)>| {
-                    let mut part = Vec::with_capacity(chunk.len() * pts.len());
-                    let transitions = expand(chunk, &mut part);
-                    (part, transitions)
-                },
-            );
+            let parts = rtise_obs::par::map_ordered(&chunks, threads, |chunk| {
+                let mut part = Vec::with_capacity(chunk.len() * pts.len());
+                let transitions = expand(chunk, &mut part);
+                (part, transitions)
+            });
             for (part, transitions) in parts {
                 cand.extend(part);
                 stats.transitions += transitions;

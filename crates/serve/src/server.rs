@@ -363,12 +363,17 @@ fn serve_one(inner: &Inner, key: &str, req: &Request) -> Value {
     response
 }
 
+/// Longest request line [`serve_lines`] buffers, in bytes, not counting
+/// the line terminator.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Serves line-delimited JSON requests from `reader`, writing one
 /// response line per request to `writer` in request order. Used by both
 /// `serve --stdin` and each TCP connection.
 ///
-/// A line that is not valid UTF-8 gets an id-0 error response and the
-/// session goes on with the next line.
+/// A line that is not valid UTF-8, or longer than [`MAX_LINE_BYTES`],
+/// gets an id-0 error response and the session goes on with the next
+/// line; the rest of an overlong line is skipped without being buffered.
 ///
 /// # Errors
 ///
@@ -380,23 +385,82 @@ pub fn serve_lines(
 ) -> std::io::Result<()> {
     let mut buf = Vec::new();
     loop {
-        buf.clear();
-        if reader.read_until(b'\n', &mut buf)? == 0 {
-            return Ok(());
-        }
-        let response = match std::str::from_utf8(&buf) {
-            Ok(line) if line.trim().is_empty() => continue,
-            Ok(line) => {
-                let line = line.trim_end_matches(['\n', '\r']);
-                match crate::proto::parse(line) {
-                    Ok(req) => server.submit(&req).wait(),
-                    Err(msg) => engine::error_response(line_request_id(line), &msg),
+        let response = match read_line_capped(&mut reader, &mut buf, MAX_LINE_BYTES)? {
+            Line::Eof => return Ok(()),
+            Line::TooLong => engine::error_response(
+                0,
+                &format!("request line is longer than {MAX_LINE_BYTES} bytes"),
+            ),
+            Line::Read => match std::str::from_utf8(&buf) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => {
+                    let line = line.trim_end_matches(['\n', '\r']);
+                    match crate::proto::parse(line) {
+                        Ok(req) => server.submit(&req).wait(),
+                        Err(msg) => engine::error_response(line_request_id(line), &msg),
+                    }
                 }
-            }
-            Err(e) => engine::error_response(0, &format!("request line is not valid UTF-8: {e}")),
+                Err(e) => {
+                    engine::error_response(0, &format!("request line is not valid UTF-8: {e}"))
+                }
+            },
         };
         writeln!(writer, "{}", response.render())?;
         writer.flush()?;
+    }
+}
+
+/// What [`read_line_capped`] found.
+#[derive(Debug, PartialEq, Eq)]
+enum Line {
+    /// End of input before any byte of a new line.
+    Eof,
+    /// A line (with its terminator, if any) is in the buffer.
+    Read,
+    /// The line was longer than the cap and has been consumed; the
+    /// buffer is empty.
+    TooLong,
+}
+
+/// Reads one `\n`-terminated line into `buf` (cleared first) like
+/// [`BufRead::read_until`], but buffers at most `max` bytes before the
+/// terminator: past that the rest of the line is consumed and dropped.
+fn read_line_capped(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    max: usize,
+) -> std::io::Result<Line> {
+    buf.clear();
+    let mut too_long = false;
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(if too_long {
+                Line::TooLong
+            } else if buf.is_empty() {
+                Line::Eof
+            } else {
+                Line::Read
+            });
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let (content, used) = newline.map_or((chunk.len(), chunk.len()), |i| (i, i + 1));
+        if !too_long {
+            if buf.len() + content > max {
+                too_long = true;
+                buf.clear();
+            } else {
+                buf.extend_from_slice(&chunk[..used]);
+            }
+        }
+        reader.consume(used);
+        if newline.is_some() {
+            return Ok(if too_long { Line::TooLong } else { Line::Read });
+        }
     }
 }
 
@@ -441,4 +505,35 @@ pub fn run_tcp(addr: &str, server: &Arc<Server>) -> std::io::Result<()> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    #[test]
+    fn lines_up_to_the_cap_are_read_whole() {
+        let mut reader = std::io::BufReader::with_capacity(4, &b"abcd\nabcde\nab"[..]);
+        let mut buf = Vec::new();
+        let mut next = || read_line_capped(&mut reader, &mut buf, 4).map(|l| (l, buf.clone()));
+        assert_eq!(next().unwrap(), (Line::Read, b"abcd\n".to_vec()));
+        assert_eq!(next().unwrap(), (Line::TooLong, Vec::new()));
+        assert_eq!(next().unwrap(), (Line::Read, b"ab".to_vec()));
+        assert_eq!(next().unwrap(), (Line::Eof, Vec::new()));
+    }
+
+    /// An overlong line is skipped without growing the buffer past the
+    /// cap, however long it is.
+    #[test]
+    fn overlong_lines_are_not_buffered() {
+        let long = std::io::repeat(b'[').take(16 * MAX_LINE_BYTES as u64);
+        let mut reader = std::io::BufReader::new(long.chain(&b"\n{}\n"[..]));
+        let mut buf = Vec::new();
+        let line = read_line_capped(&mut reader, &mut buf, MAX_LINE_BYTES).unwrap();
+        assert_eq!(line, Line::TooLong);
+        assert!(buf.capacity() <= 2 * MAX_LINE_BYTES, "{}", buf.capacity());
+        let line = read_line_capped(&mut reader, &mut buf, MAX_LINE_BYTES).unwrap();
+        assert_eq!((line, buf.as_slice()), (Line::Read, &b"{}\n"[..]));
+    }
 }

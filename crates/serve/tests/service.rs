@@ -308,3 +308,33 @@ fn invalid_utf8_line_does_not_end_the_session() {
         assert!(rtise::check::serve::check_response(resp).is_clean());
     }
 }
+
+/// A line longer than `MAX_LINE_BYTES` gets one id-0 error response and
+/// is skipped; a padded request of exactly the limit is still served, and
+/// so is the request after the overlong line.
+#[test]
+fn overlong_line_gets_an_error_response() {
+    use rtise_serve::server::MAX_LINE_BYTES;
+    let request = |id: u64| format!("{{\"id\": {id}, \"kind\": \"ilp\", \"seed\": 1}}");
+    let mut input = request(1).into_bytes();
+    input.resize(MAX_LINE_BYTES, b' ');
+    input.push(b'\n');
+    input.extend(std::iter::repeat_n(b'[', MAX_LINE_BYTES + 1));
+    input.extend(format!("\n{}\n", request(3)).bytes());
+    let responses = serve_bytes(&input);
+    assert_eq!(responses.len(), 3);
+    assert_eq!(responses[0].get("ok"), Some(&Value::Bool(true)));
+    assert_eq!(responses[0].get("id").and_then(Value::as_f64), Some(1.0));
+    assert_eq!(responses[1].get("ok"), Some(&Value::Bool(false)));
+    assert_eq!(responses[1].get("id").and_then(Value::as_f64), Some(0.0));
+    let error = responses[1]
+        .get("error")
+        .and_then(Value::as_str)
+        .unwrap_or("");
+    assert!(error.contains("longer than"), "unexpected error: {error}");
+    assert_eq!(responses[2].get("ok"), Some(&Value::Bool(true)));
+    assert_eq!(responses[2].get("id").and_then(Value::as_f64), Some(3.0));
+    for resp in &responses {
+        assert!(rtise::check::serve::check_response(resp).is_clean());
+    }
+}

@@ -27,6 +27,10 @@
 //! * [`codes`] — the stable event-name vocabulary (prune reasons,
 //!   incumbent updates, per-solve summaries) shared by the ILP, ISE,
 //!   and RMS branch-and-bound cores and the EDF DP.
+//! * [`bnb`] — the deterministic branch-and-bound driver the ILP, ISE
+//!   and RMS searches share: one options struct ([`bnb::SolveOpts`]),
+//!   the serial walk, and the frontier-decomposed parallel search whose
+//!   per-subtree trace scopes it replays in subtree order.
 //! * [`chrome`] — Chrome Trace Event Format JSON export
 //!   (`chrome://tracing` / Perfetto can open the artifact directly).
 //! * [`view`] — text renderers over an exported trace (per-name
@@ -49,6 +53,7 @@
 //! assert!(doc.render().contains("ilp.prune.bound"));
 //! ```
 
+pub mod bnb;
 pub mod chrome;
 pub mod codes;
 pub mod scope;
